@@ -140,7 +140,6 @@ func NewFactorCtx(ctx context.Context, p *Plan, threads int) (*Factor, error) {
 	if p.Opts.TrackPaths {
 		return nil, fmt.Errorf("core: factor solves do not support path tracking")
 	}
-	threads = par.DefaultThreads(threads)
 	K := p.Opts.Semiring
 	sn := p.Sn
 	ns := sn.NumSupernodes()
@@ -207,8 +206,10 @@ func NewFactorCtx(ctx context.Context, p *Plan, threads int) (*Factor, error) {
 		}
 	}
 
+	// Factor-only elimination, parallel over cousins with target-block
+	// locks on shared ancestor updates whenever threads > 1.
 	t0 := time.Now()
-	if err := f.factorize(ctx, threads, p.Opts.Schedule); err != nil {
+	if err := runSchedule(ctx, sn, threads, true, p.Opts.Schedule, f.eliminate); err != nil {
 		return nil, err
 	}
 	f.FactorTime = time.Since(t0)
@@ -234,93 +235,34 @@ func (f *Factor) ancColumn(k, a, v int) (int, bool) {
 	return 0, false
 }
 
-// factorize runs the factor-only elimination, parallel over cousins with
-// target-block locks on shared ancestor updates. schedule follows the
-// same DAG/level split as Plan.eliminate: dependency-driven by default,
-// level-synchronous barriers on request. It returns ctx.Err() when the
-// context is cancelled mid-elimination; the partial factor must then be
-// discarded.
-func (f *Factor) factorize(ctx context.Context, threads int, schedule ScheduleKind) error {
-	sn := f.sn
-	if threads <= 1 {
-		cancellable := ctx.Done() != nil
-		for k := range sn.Ranges {
-			if cancellable {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			par.Do("factorize", k, 1, func(k, w int) { f.eliminate(k, w, nil) })
-		}
-		return nil
-	}
-	locks := par.NewStripedMutex(1024)
-	if schedule == ScheduleLevel {
-		for _, level := range sn.Levels {
-			width := len(level)
-			inner := threads / width
-			if inner < 1 {
-				inner = 1
-			}
-			lk := locks
-			if width == 1 {
-				lk = nil
-			}
-			if err := par.ForCtx(ctx, width, threads, 1, func(i int) {
-				f.eliminate(level[i], inner, lk)
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// DAG schedule: concurrently running supernodes are always cousins
-	// (a parent's pending count transitively waits on its whole subtree),
-	// so the supernode-id-keyed ancestor-block locks used by the level
-	// schedule serialize exactly the same collisions here.
-	lk := locks
-	if sn.NumSupernodes() == 1 {
-		lk = nil
-	}
-	return par.RunDAGCtx(ctx, sn.Parent, threads, func(k, inner int) {
-		f.eliminate(k, inner, lk)
-	})
-}
-
 // eliminate processes supernode k: close the diagonal, update the
 // panels, and scatter the ancestor×ancestor outer products into the
-// ancestors' own factor blocks. On the fused path the closed diagonal
-// is packed once and the down-panel update streams over the packed
-// tiles; the up-panel update stays on the staged MulAdd because there
-// the packed operand would alias the destination (B == C), and the
-// staged in-place form is the algorithm.
+// ancestors' own factor blocks. The closed diagonal is packed once and
+// the down-panel update streams over the packed tiles; the up-panel
+// update stays on MulAdd because there the packed operand would alias
+// the destination (B == C), and the in-place form is the algorithm.
+// Concurrently running supernodes are cousins, so the ancestor-block
+// locks serialize every collision.
 func (f *Factor) eliminate(k, threads int, locks *par.StripedMutex) {
 	fault.Inject("core.factor.eliminate")
 	K := f.K
-	fused := fusedElim.Load() && K.MulAddPacked != nil
 	tDiag := time.Now()
 	K.FW(f.diag[k])
 	semiring.AddPhaseTime(semiring.PhaseDiag, time.Since(tDiag))
 	if f.ancOff[k][len(f.ancIDs[k])] == 0 {
-		semiring.CountElimination(fused)
 		return
 	}
 	// Panels (in place; diagonal closed).
 	tPanel := time.Now()
 	K.MulAdd(f.up[k], f.diag[k], f.up[k]) //lint:ignore aliascheck in-place panel update is closed under min-plus: diag is closed with zero diagonal, so C=A is the algorithm
-	if fused {
-		Pd := K.PackPanel(f.diag[k])
-		K.MulAddPacked(f.down[k], f.down[k], Pd) //lint:ignore aliascheck symmetric in-place panel update; the packed operand is the closed diagonal, which the update never writes
-		Pd.Release()
-	} else {
-		K.MulAdd(f.down[k], f.down[k], f.diag[k]) //lint:ignore aliascheck symmetric in-place panel update against the closed zero-diagonal block
-	}
+	Pd := K.PackPanel(f.diag[k])
+	K.MulAddPacked(f.down[k], f.down[k], Pd) //lint:ignore aliascheck symmetric in-place panel update; the packed operand is the closed diagonal, which the update never writes
+	Pd.Release()
 	semiring.AddPhaseTime(semiring.PhasePanel, time.Since(tPanel))
 
 	tOuter := time.Now()
 	f.scatterOuter(k, threads, locks, nil)
 	semiring.AddPhaseTime(semiring.PhaseOuter, time.Since(tOuter))
-	semiring.CountElimination(fused)
 }
 
 // scatterOuter applies supernode k's ancestor×ancestor outer products
@@ -342,13 +284,14 @@ func (f *Factor) scatterOuter(k, threads int, locks *par.StripedMutex, ownerFilt
 	s := sn.Ranges[k].Size()
 	anc := f.ancIDs[k]
 	na := len(anc)
-	// Fused path: the up-section of ancestor column j is the B operand of
-	// every (i, j) pair, so pack it once and reuse it na times. The
-	// targets are the ancestors' own blocks — never up[k] or down[k] — so
-	// the packed snapshot stays valid for the whole scatter. Columns no
-	// (i, j) pair will touch under ownerFilter are skipped.
+	// The up-section of ancestor column j is the B operand of every
+	// (i, j) pair, so with more than one ancestor pack it once and reuse
+	// it na times. The targets are the ancestors' own blocks — never
+	// up[k] or down[k] — so the packed snapshot stays valid for the whole
+	// scatter. Columns no (i, j) pair will touch under ownerFilter are
+	// skipped.
 	var packs []*semiring.PackedPanel
-	if fusedElim.Load() && K.MulAddPacked != nil && na > 1 {
+	if na > 1 {
 		packs = make([]*semiring.PackedPanel, na)
 		for j := 0; j < na; j++ {
 			needed := ownerFilter == nil || ownerFilter[anc[j]]

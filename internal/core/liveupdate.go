@@ -422,7 +422,7 @@ func (u *FactorUpdater) Apply(ctx context.Context, b *UpdateBatch) (*Patched, er
 	if err := fault.InjectErr("core.update.apply"); err != nil {
 		return nil, err
 	}
-	if err := nf.reeliminate(ctx, dirty, increase, par.DefaultThreads(u.opts.Threads)); err != nil {
+	if err := nf.reeliminate(ctx, dirty, increase, u.opts.Threads); err != nil {
 		return nil, err
 	}
 	if f.K.DetectNegCycle {
@@ -470,10 +470,10 @@ func (u *FactorUpdater) fullRebuild(ctx context.Context, p *Patched, replanned b
 // reeliminate re-runs the elimination over the dirty set: dirty
 // supernodes eliminate in full; in increase (replay) mode clean
 // supernodes re-scatter their outer products into dirty-owned targets.
-// The DAG schedule guarantees a supernode runs only after its whole
-// subtree — exactly the order a fresh factorization uses — and
-// concurrently running supernodes are cousins, serialized on shared
-// ancestor targets by the same striped locks the factorization uses.
+// It runs on the factorization's own schedule, so a supernode runs only
+// after its whole subtree and concurrently running supernodes are
+// cousins, serialized on shared ancestor targets by the same striped
+// locks.
 func (f *Factor) reeliminate(ctx context.Context, dirty []bool, replay bool, threads int) error {
 	touches := func(k int) bool {
 		for _, a := range f.ancIDs[k] {
@@ -483,25 +483,7 @@ func (f *Factor) reeliminate(ctx context.Context, dirty []bool, replay bool, thr
 		}
 		return false
 	}
-	if threads <= 1 {
-		cancellable := ctx.Done() != nil
-		for k := range f.sn.Ranges {
-			if cancellable {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			switch {
-			case dirty[k]:
-				f.eliminate(k, 1, nil)
-			case replay && touches(k):
-				f.scatterOuter(k, 1, nil, dirty)
-			}
-		}
-		return nil
-	}
-	locks := par.NewStripedMutex(1024)
-	return par.RunDAGCtx(ctx, f.sn.Parent, threads, func(k, inner int) {
+	return runSchedule(ctx, f.sn, threads, true, ScheduleDAG, func(k, inner int, locks *par.StripedMutex) {
 		switch {
 		case dirty[k]:
 			f.eliminate(k, inner, locks)

@@ -9,11 +9,13 @@ package core
 // Attribution is per-supernode: every elimination records its start
 // offset and duration relative to the start of the numeric phase. Level
 // summaries are derived from the supernode spans, which keeps them
-// meaningful under both schedules — under the level-synchronous schedule
+// meaningful under every schedule — under the level-synchronous schedule
 // a level's span is the barrier-to-barrier wall time, while under the
 // DAG schedule spans of adjacent levels overlap, and the difference
 // between the sum of level spans and the phase wall time is exactly the
-// barrier cost the DAG schedule recovered.
+// barrier cost the DAG schedule recovered. (The one-at-a-time postorder
+// interleaves levels too, but with no supernodes running concurrently
+// there is no barrier wait to recover, and none is reported.)
 
 import (
 	"fmt"
@@ -25,6 +27,7 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/semiring"
+	"repro/internal/symbolic"
 )
 
 // Profile accumulates stage timings during a profiled solve. Stage times
@@ -43,7 +46,9 @@ type Profile struct {
 	// numeric phase (see Result.Kernel for the concurrency caveat).
 	Kernel semiring.KernelCounters
 
-	mu sync.Mutex // guards Supernodes during the solve
+	mu         sync.Mutex    // guards Supernodes during the solve
+	end        time.Duration // latest supernode end offset
+	concurrent bool          // some supernode spans overlapped in time
 }
 
 // SupernodeProfile is the elimination span of one supernode, relative to
@@ -68,11 +73,25 @@ type LevelProfile struct {
 	Wall       time.Duration
 }
 
-// record appends one supernode span (thread-safe).
-func (pr *Profile) record(sp SupernodeProfile) {
-	pr.mu.Lock()
-	pr.Supernodes = append(pr.Supernodes, sp)
-	pr.mu.Unlock()
+// spans wraps an elimination step with per-supernode span accounting
+// relative to the numeric-phase start t0 (thread-safe).
+func (pr *Profile) spans(sn *symbolic.Supernodes, t0 time.Time, step elimStep) elimStep {
+	levelOf := sn.LevelOf()
+	return func(k, inner int, locks *par.StripedMutex) {
+		start := time.Since(t0)
+		step(k, inner, locks)
+		sp := SupernodeProfile{
+			Supernode: k,
+			Level:     levelOf[k],
+			Vertices:  sn.Ranges[k].Size(),
+			Workers:   inner,
+			Start:     start,
+			Wall:      time.Since(t0) - start,
+		}
+		pr.mu.Lock()
+		pr.Supernodes = append(pr.Supernodes, sp)
+		pr.mu.Unlock()
+	}
 }
 
 // finish sorts the supernode spans and derives the level summaries.
@@ -92,15 +111,16 @@ func (pr *Profile) finish(numLevels int) {
 		first[i] = 1<<63 - 1
 	}
 	for _, sp := range pr.Supernodes {
+		e := sp.Start + sp.Wall
+		if sp.Start < pr.end {
+			pr.concurrent = true
+		}
+		pr.end = max(pr.end, e)
 		l := &pr.Levels[sp.Level]
 		l.Supernodes++
 		l.Vertices += sp.Vertices
-		if sp.Start < first[sp.Level] {
-			first[sp.Level] = sp.Start
-		}
-		if end := sp.Start + sp.Wall; end > last[sp.Level] {
-			last[sp.Level] = end
-		}
+		first[sp.Level] = min(first[sp.Level], sp.Start)
+		last[sp.Level] = max(last[sp.Level], e)
 	}
 	for i := range pr.Levels {
 		if pr.Levels[i].Supernodes > 0 {
@@ -128,12 +148,12 @@ func (pr *Profile) String() string {
 			fmt.Fprintf(&b, "  level %2d: %4d supernodes, %6d vertices, %10v\n",
 				l.Level, l.Supernodes, l.Vertices, l.Wall.Round(time.Microsecond))
 		}
-		if end := pr.phaseEnd(); end > 0 && sum > end {
+		if pr.concurrent && sum > pr.end {
 			// Overlapping level spans: the DAG schedule ran supernodes of
 			// different levels concurrently instead of idling at
 			// barriers.
 			fmt.Fprintf(&b, "  level spans sum to %v over a %v phase: %v of would-be barrier wait overlapped\n",
-				sum.Round(time.Microsecond), end.Round(time.Microsecond), (sum - end).Round(time.Microsecond))
+				sum.Round(time.Microsecond), pr.end.Round(time.Microsecond), (sum - pr.end).Round(time.Microsecond))
 		}
 	}
 	if sp, ok := pr.slowestSupernode(); ok {
@@ -144,9 +164,9 @@ func (pr *Profile) String() string {
 		fmt.Fprintf(&b, "gemm kernels: %d calls (%.0f%% dense, %d shards), %d fused ops, %s packed\n",
 			k.Calls, 100*k.DenseRatio(), k.ParallelShards, k.FusedOps, fmtBytes(k.PackedBytes))
 	}
-	if k := pr.Kernel; k.FusedElims+k.StagedElims > 0 {
-		fmt.Fprintf(&b, "fused pipeline: %d fused / %d staged eliminations, %s pack reuse; phase footprint diag %v, panel %v, outer %v",
-			k.FusedElims, k.StagedElims, fmtBytes(k.PackedReuseBytes),
+	if k := pr.Kernel; k.DiagNS+k.PanelNS+k.OuterNS > 0 {
+		fmt.Fprintf(&b, "fused pipeline: %s pack reuse; phase footprint diag %v, panel %v, outer %v",
+			fmtBytes(k.PackedReuseBytes),
 			time.Duration(k.DiagNS).Round(time.Microsecond),
 			time.Duration(k.PanelNS).Round(time.Microsecond),
 			time.Duration(k.OuterNS).Round(time.Microsecond))
@@ -167,17 +187,6 @@ func fmtBytes(b uint64) string {
 	return fmt.Sprintf("%d B", b)
 }
 
-// phaseEnd returns the latest supernode end offset.
-func (pr *Profile) phaseEnd() time.Duration {
-	var end time.Duration
-	for _, sp := range pr.Supernodes {
-		if e := sp.Start + sp.Wall; e > end {
-			end = e
-		}
-	}
-	return end
-}
-
 // slowestSupernode returns the span with the largest wall time.
 func (pr *Profile) slowestSupernode() (SupernodeProfile, bool) {
 	if len(pr.Supernodes) == 0 {
@@ -192,84 +201,12 @@ func (pr *Profile) slowestSupernode() (SupernodeProfile, bool) {
 	return best, true
 }
 
-// SolveProfiled is SolveWith plus stage/supernode accounting. The
-// accounting adds two clock reads per update task; for realistic
-// supernode sizes the overhead is well under 1%.
+// SolveProfiled is SolveWith plus stage/supernode accounting, run
+// through the same schedule as every other solve. The accounting adds
+// two clock reads per update task; for realistic supernode sizes the
+// overhead is well under 1%.
 func (p *Plan) SolveProfiled(threads int, etreeParallel bool) (*Result, *Profile, error) {
-	K := p.Opts.Semiring
-	D := p.PG.ToDenseWith(K.Zero, K.One)
-	st := &state{D: D, track: p.Opts.TrackPaths, K: K, prof: &Profile{}}
-	if st.track {
-		st.next = semiring.NewIntMat(D.Rows, D.Cols)
-		semiring.InitNextHops(D, st.next)
-	}
-	k0 := semiring.ReadKernelCounters()
-	t0 := time.Now()
-	p.eliminateProfiled(st, threads, etreeParallel)
-	st.prof.Kernel = semiring.ReadKernelCounters().Sub(k0)
-	res := &Result{D: D, Next: st.next, Perm: p.Perm, IPerm: p.IPerm,
-		NumericTime: time.Since(t0), Kernel: st.prof.Kernel}
-	if K.DetectNegCycle && res.HasNegativeCycle() {
-		return res, st.prof, fmt.Errorf("core: graph contains a negative-weight cycle")
-	}
-	return res, st.prof, nil
-}
-
-// eliminateProfiled mirrors eliminate but wraps every supernode
-// elimination in span accounting (the per-stage accounting lives in
-// eliminateSupernode via state.prof).
-func (p *Plan) eliminateProfiled(st *state, threads int, etreeParallel bool) {
-	threads = par.DefaultThreads(threads)
-	sn := p.Sn
-	levelOf := sn.LevelOf()
-	t0 := time.Now()
-	run := func(k, inner int, locks *par.StripedMutex) {
-		start := time.Since(t0)
-		p.eliminateSupernode(st, k, inner, locks)
-		st.prof.record(SupernodeProfile{
-			Supernode: k,
-			Level:     levelOf[k],
-			Vertices:  sn.Ranges[k].Size(),
-			Workers:   inner,
-			Start:     start,
-			Wall:      time.Since(t0) - start,
-		})
-	}
-	switch {
-	case threads <= 1 || !etreeParallel:
-		// Sequential mode iterates levels (not raw postorder) so the
-		// per-level accounting is comparable across modes; level order is
-		// also a valid elimination order (children precede parents).
-		for _, nodes := range sn.Levels {
-			for _, k := range nodes {
-				run(k, threads, nil)
-			}
-		}
-	case p.Opts.Schedule == ScheduleLevel:
-		locks := par.NewStripedMutex(1024)
-		for _, level := range sn.Levels {
-			level := level
-			width := len(level)
-			inner := threads / width
-			if inner < 1 {
-				inner = 1
-			}
-			lk := locks
-			if width == 1 {
-				lk = nil
-			}
-			par.For(width, threads, 1, func(i int) {
-				run(level[i], inner, lk)
-			})
-		}
-	default:
-		lk := par.NewStripedMutex(1024)
-		if sn.NumSupernodes() == 1 {
-			lk = nil
-		}
-		par.RunDAG(sn.Parent, threads, func(k, inner int) {
-			run(k, inner, lk)
-		})
-	}
-	st.prof.finish(len(sn.Levels))
+	prof := &Profile{}
+	res, err := p.solveWithCtx(p.Opts.context(), threads, etreeParallel, prof)
+	return res, prof, err
 }

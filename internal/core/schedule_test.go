@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/semiring"
 )
 
@@ -59,6 +63,59 @@ func TestScheduleEquivalence(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestRunScheduleOrder pins the driver contract every numeric path relies
+// on: each supernode is stepped exactly once, only after all of its
+// children have returned, with locks exactly when cousins can overlap —
+// across the sequential, level and DAG modes — and a cancelled context
+// stops the run with ctx.Err().
+func TestRunScheduleOrder(t *testing.T) {
+	g := gen.RoadNetwork(16, 16, 0.3, 41)
+	plan, err := NewPlan(g, Options{Ordering: OrderND, MaxBlock: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := plan.Sn
+	type mode struct {
+		threads  int
+		parallel bool
+		kind     ScheduleKind
+	}
+	for _, m := range []mode{{1, true, ScheduleDAG}, {4, false, ScheduleDAG}, {4, true, ScheduleLevel}, {4, true, ScheduleDAG}} {
+		var mu sync.Mutex
+		done := make([]int, sn.NumSupernodes())
+		err := runSchedule(context.Background(), sn, m.threads, m.parallel, m.kind, func(k, inner int, locks *par.StripedMutex) {
+			mu.Lock()
+			defer mu.Unlock()
+			for c, p := range sn.Parent {
+				if p == k && done[c] != 1 {
+					t.Errorf("%+v: supernode %d stepped before child %d finished", m, k, c)
+				}
+			}
+			sequential := m.threads == 1 || !m.parallel
+			if sequential && locks != nil || !sequential && m.kind == ScheduleDAG && locks == nil {
+				t.Errorf("%+v: supernode %d got locks=%v", m, k, locks != nil)
+			}
+			if inner < 1 || inner > m.threads {
+				t.Errorf("%+v: supernode %d inner budget %d", m, k, inner)
+			}
+			done[k]++
+		})
+		if err != nil {
+			t.Fatalf("%+v: %v", m, err)
+		}
+		for k, n := range done {
+			if n != 1 {
+				t.Fatalf("%+v: supernode %d stepped %d times", m, k, n)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := runSchedule(ctx, sn, m.threads, m.parallel, m.kind, func(int, int, *par.StripedMutex) {}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%+v: cancelled run returned %v", m, err)
 		}
 	}
 }

@@ -35,18 +35,18 @@ func (p *Plan) Solve() (*Result, error) {
 // phase, so a cancelled or expired context aborts the elimination
 // promptly and returns ctx.Err().
 func (p *Plan) SolveCtx(ctx context.Context) (*Result, error) {
-	return p.solveWithCtx(ctx, p.Opts.Threads, p.Opts.EtreeParallel)
+	return p.solveWithCtx(ctx, p.Opts.Threads, p.Opts.EtreeParallel, nil)
 }
 
 // SolveWith runs the numeric phase with explicit parallelism controls.
 func (p *Plan) SolveWith(threads int, etreeParallel bool) (*Result, error) {
-	return p.solveWithCtx(p.Opts.context(), threads, etreeParallel)
+	return p.solveWithCtx(p.Opts.context(), threads, etreeParallel, nil)
 }
 
-func (p *Plan) solveWithCtx(ctx context.Context, threads int, etreeParallel bool) (*Result, error) {
+func (p *Plan) solveWithCtx(ctx context.Context, threads int, etreeParallel bool, prof *Profile) (*Result, error) {
 	K := p.Opts.Semiring
 	D := p.PG.ToDenseWith(K.Zero, K.One)
-	return p.finish(ctx, D, threads, etreeParallel)
+	return p.finish(ctx, D, threads, etreeParallel, prof)
 }
 
 // SolveInitMatrix runs the numeric phase on a caller-supplied initial
@@ -68,7 +68,7 @@ func (p *Plan) SolveInitMatrixCtx(ctx context.Context, init semiring.Mat, thread
 	}
 	D := semiring.NewMat(n, n)
 	semiring.Permute(D, init, p.Perm)
-	return p.finish(ctx, D, threads, etreeParallel)
+	return p.finish(ctx, D, threads, etreeParallel, nil)
 }
 
 // state bundles the matrices a numeric solve operates on and the
@@ -107,7 +107,7 @@ func (s *state) mul(C, A, B semiring.Mat, nc, na semiring.IntMat) {
 	}
 }
 
-// mulPacked is mul against a pre-packed B panel (fused path).
+// mulPacked is mul against a pre-packed B panel.
 func (s *state) mulPacked(C, A semiring.Mat, P *semiring.PackedPanel, nc, na semiring.IntMat) {
 	if s.track {
 		s.K.MulAddPathsPacked(C, A, P, nc, na)
@@ -116,90 +116,35 @@ func (s *state) mulPacked(C, A semiring.Mat, P *semiring.PackedPanel, nc, na sem
 	}
 }
 
-// fused reports whether this solve should run the fused packed-panel
-// pipeline (toggle on and the kernel bundle provides the entry points).
-func (s *state) fused() bool {
-	return fusedElim.Load() && s.K.MulAddPacked != nil &&
-		(!s.track || s.K.MulAddPathsPacked != nil)
-}
-
-func (p *Plan) finish(ctx context.Context, D semiring.Mat, threads int, etreeParallel bool) (*Result, error) {
-	st := &state{D: D, track: p.Opts.TrackPaths, K: p.Opts.Semiring}
+// finish runs the supernodal elimination (Algorithm 3) on the permuted
+// dense matrix D. A non-nil prof additionally records stage times and one
+// span per supernode. It returns ctx.Err() when the context is cancelled
+// mid-elimination; the partially relaxed matrix is then discarded.
+func (p *Plan) finish(ctx context.Context, D semiring.Mat, threads int, etreeParallel bool, prof *Profile) (*Result, error) {
+	st := &state{D: D, track: p.Opts.TrackPaths, K: p.Opts.Semiring, prof: prof}
 	if st.track {
 		st.next = semiring.NewIntMat(D.Rows, D.Cols)
 		semiring.InitNextHops(D, st.next)
 	}
 	k0 := semiring.ReadKernelCounters()
 	t0 := time.Now()
-	if err := p.eliminate(ctx, st, par.DefaultThreads(threads), etreeParallel); err != nil {
+	step := func(k, inner int, locks *par.StripedMutex) { p.eliminateSupernode(st, k, inner, locks) }
+	if prof != nil {
+		step = prof.spans(p.Sn, t0, step)
+	}
+	if err := runSchedule(ctx, p.Sn, threads, etreeParallel, p.Opts.Schedule, step); err != nil {
 		return nil, err
 	}
 	res := &Result{D: D, Next: st.next, Perm: p.Perm, IPerm: p.IPerm,
 		NumericTime: time.Since(t0), Kernel: semiring.ReadKernelCounters().Sub(k0)}
+	if prof != nil {
+		prof.Kernel = res.Kernel
+		prof.finish(len(p.Sn.Levels))
+	}
 	if st.K.DetectNegCycle && res.HasNegativeCycle() {
 		return res, fmt.Errorf("core: graph contains a negative-weight cycle")
 	}
 	return res, nil
-}
-
-// eliminate runs the supernodal elimination (Algorithm 3) on the permuted
-// dense matrix. It returns ctx.Err() when the context is cancelled
-// mid-elimination; the partially relaxed matrix must then be discarded.
-func (p *Plan) eliminate(ctx context.Context, st *state, threads int, etreeParallel bool) error {
-	sn := p.Sn
-	cancellable := ctx.Done() != nil
-	if threads <= 1 || !etreeParallel {
-		// Sequential supernode traversal in ascending (postorder) index
-		// order; intra-supernode updates may still run in parallel.
-		for k := range sn.Ranges {
-			if cancellable {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			par.Do("eliminate", k, threads, func(k, w int) { p.eliminateSupernode(st, k, w, nil) })
-		}
-		return nil
-	}
-	if p.Opts.Schedule == ScheduleLevel {
-		// Etree level scheduling: supernodes within a level are cousins
-		// and are eliminated concurrently; only their A(k)×A(k) outer
-		// updates can collide, serialized by tile-keyed striped locks. A
-		// barrier between levels enforces child-before-parent ordering.
-		locks := par.NewStripedMutex(1024)
-		for _, level := range sn.Levels {
-			width := len(level)
-			inner := threads / width
-			if inner < 1 {
-				inner = 1
-			}
-			lk := locks
-			if width == 1 {
-				lk = nil // single supernode in the level: no collisions
-			}
-			if err := par.ForCtx(ctx, width, threads, 1, func(i int) {
-				p.eliminateSupernode(st, level[i], inner, lk)
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Dependency-driven DAG scheduling: a supernode is eliminated as soon
-	// as its last child completes, with no inter-level barriers. Any two
-	// concurrently running supernodes are mutually non-ancestral (an
-	// ancestor's pending count transitively waits on every descendant),
-	// i.e. cousins — so exactly as in the level schedule, only their
-	// A(k)×A(k) outer updates can collide, and the same tile-keyed
-	// striped locks serialize them. Tiles are anchored at supernode range
-	// starts, so cousins derive identical ancestor tiles.
-	lk := par.NewStripedMutex(1024)
-	if sn.NumSupernodes() == 1 {
-		lk = nil
-	}
-	return par.RunDAGCtx(ctx, sn.Parent, threads, func(k, inner int) {
-		p.eliminateSupernode(st, k, inner, lk)
-	})
 }
 
 // tile is a contiguous index range plus whether it belongs to an ancestor
@@ -262,7 +207,6 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 	s := r.Size()
 	D := st.D
 	Akk := D.View(r.Lo, r.Lo, s, s)
-	fused := st.fused()
 
 	// DiagUpdate.
 	tDiag := time.Now()
@@ -281,18 +225,14 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 
 	tiles := p.reachTiles(k)
 	if len(tiles) == 0 {
-		semiring.CountElimination(fused)
 		return
 	}
 
-	// Fused path: the closed diagonal block is the B operand of every
-	// column-panel update, so pack it once and reuse it across all
-	// tiles. Reach tiles never overlap k's own range, so no panel write
-	// touches the packed snapshot.
-	var Pd *semiring.PackedPanel
-	if fused {
-		Pd = st.K.PackPanel(Akk)
-	}
+	// The closed diagonal block is the B operand of every column-panel
+	// update, so pack it once and reuse it across all tiles. Reach tiles
+	// never overlap k's own range, so no panel write touches the packed
+	// snapshot.
+	Pd := st.K.PackPanel(Akk)
 
 	// PanelUpdate: for every reach tile t, the row panel A(k,t) from the
 	// left and the column panel A(t,k) from the right. Next-hop sources:
@@ -300,8 +240,8 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 	// the first hop comes from next(k-range, k-range); a column-panel
 	// improvement's first hop comes from next(t, k-range) — the operand
 	// that plays the A role in C = C ⊕ A⊗B, in both cases. Row panels
-	// stay on the staged MulAdd (their B operand is the destination
-	// itself); column panels consume the packed diagonal.
+	// stay on MulAdd (their B operand is the destination itself); column
+	// panels consume the packed diagonal.
 	par.For(2*len(tiles), threads, 1, func(i int) {
 		tPanel := time.Now()
 		t := tiles[i/2]
@@ -311,30 +251,25 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 		} else {
 			P := D.View(t.lo, r.Lo, t.hi-t.lo, s)
 			nc := st.iview(t.lo, r.Lo, t.hi-t.lo, s)
-			if Pd != nil {
-				st.mulPacked(P, P, Pd, nc, nc)
-			} else {
-				st.mul(P, P, Akk, nc, nc)
-			}
+			st.mulPacked(P, P, Pd, nc, nc)
 		}
 		semiring.AddPhaseTime(semiring.PhasePanel, time.Since(tPanel))
 		if st.prof != nil {
 			st.addStage(&st.prof.Panel, tPanel)
 		}
 	})
-	if Pd != nil {
-		Pd.Release()
-	}
+	Pd.Release()
 
 	// OuterUpdate: A(ti,tj) ← A(ti,tj) ⊕ A(ti,k) ⊗ A(k,tj) over the full
 	// reach×reach grid. Only ancestor×ancestor targets can be written by
-	// concurrent cousin eliminations. Fused path: the row panel A(k,tj)
-	// is the B operand of the whole tj column of the grid, so pack each
-	// once (in parallel) and reuse it nt times; outer writes land on
-	// reach×reach blocks, never on k's rows, so the snapshots stay valid.
+	// concurrent cousin eliminations. The row panel A(k,tj) is the B
+	// operand of the whole tj column of the grid, so with more than one
+	// tile pack each once (in parallel) and reuse it nt times; outer
+	// writes land on reach×reach blocks, never on k's rows, so the
+	// snapshots stay valid.
 	nt := len(tiles)
 	var rowPacks []*semiring.PackedPanel
-	if fused && nt > 1 {
+	if nt > 1 {
 		rowPacks = make([]*semiring.PackedPanel, nt)
 		par.For(nt, threads, 1, func(j int) {
 			tj := tiles[j]
@@ -370,11 +305,8 @@ func (p *Plan) eliminateSupernode(st *state, k, threads int, locks *par.StripedM
 		}
 	})
 	for _, P := range rowPacks {
-		if P != nil {
-			P.Release()
-		}
+		P.Release()
 	}
-	semiring.CountElimination(fused)
 }
 
 // Closure is the reference dense solution: it runs the scalar

@@ -58,17 +58,6 @@ func AddPhaseTime(p Phase, d time.Duration) {
 	}
 }
 
-// CountElimination records one supernode elimination as fused or
-// staged, making the fused-vs-staged dispatch observable in Profile
-// and /metrics.
-func CountElimination(fused bool) {
-	if fused {
-		kernelStats.fusedElims.Add(1)
-	} else {
-		kernelStats.stagedElims.Add(1)
-	}
-}
-
 // PackedPanel is a B operand packed once for reuse across many
 // MulAddPacked sweeps. Immutable after PackPanel except for the
 // atomic use counter, so concurrent consumers need no locking; Release

@@ -23,8 +23,6 @@ var kernelStats struct {
 	fusedOps         atomic.Uint64
 	packedBytes      atomic.Uint64
 	packedReuseBytes atomic.Uint64
-	fusedElims       atomic.Uint64
-	stagedElims      atomic.Uint64
 	diagNS           atomic.Uint64
 	panelNS          atomic.Uint64
 	outerNS          atomic.Uint64
@@ -57,11 +55,6 @@ type KernelCounters struct {
 	// the staged three-call path would have re-copied, i.e. the memory
 	// the fusion saved.
 	PackedReuseBytes uint64 `json:"packed_reuse_bytes"`
-	// FusedElims / StagedElims count supernode eliminations run through
-	// the fused pack-once pipeline vs the staged per-call path — the
-	// fused-vs-staged dispatch made observable.
-	FusedElims  uint64 `json:"fused_elims"`
-	StagedElims uint64 `json:"staged_elims"`
 	// DiagNS / PanelNS / OuterNS are wall nanoseconds spent in the three
 	// elimination phases (diagonal FW closure, panel updates, outer
 	// scatter). Concurrent supernodes overlap, so these are per-phase
@@ -82,8 +75,6 @@ func ReadKernelCounters() KernelCounters {
 		FusedOps:         kernelStats.fusedOps.Load(),
 		PackedBytes:      kernelStats.packedBytes.Load(),
 		PackedReuseBytes: kernelStats.packedReuseBytes.Load(),
-		FusedElims:       kernelStats.fusedElims.Load(),
-		StagedElims:      kernelStats.stagedElims.Load(),
 		DiagNS:           kernelStats.diagNS.Load(),
 		PanelNS:          kernelStats.panelNS.Load(),
 		OuterNS:          kernelStats.outerNS.Load(),
@@ -102,8 +93,6 @@ func (k KernelCounters) Sub(prev KernelCounters) KernelCounters {
 		FusedOps:         k.FusedOps - prev.FusedOps,
 		PackedBytes:      k.PackedBytes - prev.PackedBytes,
 		PackedReuseBytes: k.PackedReuseBytes - prev.PackedReuseBytes,
-		FusedElims:       k.FusedElims - prev.FusedElims,
-		StagedElims:      k.StagedElims - prev.StagedElims,
 		DiagNS:           k.DiagNS - prev.DiagNS,
 		PanelNS:          k.PanelNS - prev.PanelNS,
 		OuterNS:          k.OuterNS - prev.OuterNS,
