@@ -13,11 +13,16 @@ APSPVET_SRC := $(wildcard cmd/apspvet/*.go internal/analysis/*.go \
 
 all: build test
 
+# The benchmark is its own module (benchmark/go.mod), invisible to
+# ./... patterns; build and test it explicitly so an API change that
+# breaks it fails here rather than at the next benchmark run.
 build:
 	$(GO) build ./...
+	$(GO) build -C benchmark -o /dev/null ./...
 
 test:
 	$(GO) test ./...
+	$(GO) test -C benchmark ./...
 
 race:
 	$(GO) test -race $(RACE_PKGS)

@@ -17,7 +17,7 @@ import (
 // analyzer tracks publication per function with a forward may-analysis
 // (including simple aliases), and flags any post-publication write:
 // mutator method calls (resetBlocks, scatterEdges, injectMin,
-// reeliminate, eliminate), Set/Fill on the factor's diag/up/down
+// reeliminate, eliminate), Set/Fill on the factor's diag/up
 // blocks, and direct element stores — plus any write reached through a
 // `.Factor` selector off a Patched value, which is a published factor
 // by definition.
@@ -40,7 +40,6 @@ var snapMutators = map[string]bool{
 var snapBlockFields = map[string]bool{
 	"diag": true,
 	"up":   true,
-	"down": true,
 }
 
 // snapBlockWriters are the block-level write methods.
@@ -182,7 +181,7 @@ func runSnapFreezeFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// factorBlockBase unwraps f.diag[k] / f.up[i] / f.down[i] index
+// factorBlockBase unwraps f.diag[k] / f.up[i] index
 // expressions, returning the factor-valued base expression f.
 func factorBlockBase(e ast.Expr) (ast.Expr, bool) {
 	idx, ok := ast.Unparen(e).(*ast.IndexExpr)

@@ -9,7 +9,6 @@ func (m Mat) At(i, j int) float64     { return 0 }
 type Factor struct {
 	diag []Mat
 	up   []Mat
-	down []Mat
 }
 
 func (f *Factor) resetBlocks(ks []int)     {}
@@ -47,7 +46,7 @@ func blockWrites(p *Patched, f *Factor) {
 	nf.diag[0].Set(1, 1, 0) // want `block write Set on nf after the factor was published`
 	nf.up[2].Fill(0)        // want `block write Fill on nf after the factor was published`
 	var m Mat
-	nf.down[1] = m // want `block store on nf after the factor was published`
+	nf.up[1] = m // want `block store on nf after the factor was published`
 }
 
 // Publication travels through simple aliases.

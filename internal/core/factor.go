@@ -7,32 +7,36 @@ package core
 // paper also observes that at the end of elimination "the supernodal
 // matrix contains the semiring equivalent of Cholesky factors". This
 // file computes exactly that object WITHOUT the dense matrix: for every
-// supernode k, the closed diagonal block and the two panels against k's
+// supernode k, the closed diagonal block and the panel against k's
 // ancestor path
 //
-//	diag[k] = F(k, k)    up[k] = F(k, A(k))    down[k] = F(A(k), k)
+//	diag[k] = F(k, k)    up[k] = F(k, A(k))
 //
-// where F(i, j) holds the length of the shortest i→j path whose
-// intermediates all precede min(i,j)'s supernode — the semiring analogue
-// of the LU factors (Carré 1971). Factor-only elimination performs the
-// DiagUpdate, PanelUpdate and the A(k)×A(k) part of the OuterUpdate of
-// Algorithm 3, skipping every update that touches descendants; because
-// the ancestor set is a chain, every A×A block lands inside some future
-// panel, so the working set is the factor itself: O(supernodal fill)
-// memory instead of n².
+// where F(i, j) holds the length of the shortest i–j path whose
+// intermediates all precede min(i,j)'s supernode (Carré 1971). Every
+// factor is built from an undirected graph, so F is symmetric and the
+// lower panel F(A(k), k) = up[k]ᵀ is never stored: one triangle, the
+// semiring analogue of a Cholesky rather than an LU factor. Factor-only
+// elimination performs the DiagUpdate, the single PanelUpdate and the
+// upper triangle of the A(k)×A(k) OuterUpdate of Algorithm 3, skipping
+// every update that touches descendants; because the ancestor set is a
+// chain, every A×A block lands inside some future diagonal or panel, so
+// the working set is the factor itself: O(supernodal fill) memory
+// instead of n².
 //
 // Queries use the elimination-tree two-phase sweep (the semiring
 // triangular solves):
 //
 //	up    d[A(k)] ⊕= d[k] ⊗ up[k]      k ascending   (only k on src's root path)
-//	down  d[k] ⊕= down[k] ⊗ d[A(k)]    k descending  (all supernodes)
+//	down  d[k] ⊕= up[k] ⊗ d[A(k)]      k descending  (all supernodes)
 //
 // which is correct because every shortest path decomposes at its
 // maximum-index vertex h into an index-ascending prefix and an
 // index-descending suffix, both inside the filled pattern — h is a
 // common etree ancestor of the endpoints. The same decomposition yields
-// 2-hop-labeling point queries: Label(u) (distances from u to its root
-// path) meets the reverse label of v on the shared ancestor suffix.
+// 2-hop-labeling point queries: Label(u) holds the distances between u
+// and every hub on its root path, and by symmetry a point query meets
+// Label(u) with Label(v) on the shared ancestor suffix.
 
 import (
 	"context"
@@ -57,19 +61,14 @@ type Factor struct {
 	sn    *symbolic.Supernodes
 	K     *semiring.Kernels
 	// per supernode k:
-	diag []semiring.Mat // s×s, closed
+	diag []semiring.Mat // s×s, closed, symmetric
 	up   []semiring.Mat // s × ancTotal: F(k, ancestors), ancestor ranges concatenated ascending
-	down []semiring.Mat // ancTotal × s: F(ancestors, k)
 	// ancIDs[k] lists k's ancestor supernodes (ascending); ancOff[k][i]
-	// is the column offset of ancIDs[k][i] inside up[k] (row offset in
-	// down[k]); ancOff[k][len] is the total ancestor width.
+	// is the column offset of ancIDs[k][i] inside up[k]; ancOff[k][len]
+	// is the total ancestor width, and maxAnc the largest such width.
 	ancIDs [][]int
 	ancOff [][]int
-
-	// sweep pools n-length scratch vectors for the SSSP etree sweeps so
-	// steady-state query serving does not allocate per query. Entries are
-	// *[]float64 reset to K.Zero before reuse. Not serialized.
-	sweep sync.Pool
+	maxAnc int
 
 	// FactorTime is the wall time of the numeric factorization.
 	FactorTime time.Duration
@@ -102,9 +101,14 @@ func (f *Factor) N() int { return f.n }
 func (f *Factor) Memory() int64 {
 	var total int64
 	for k := range f.diag {
-		total += int64(len(f.diag[k].Data) + len(f.up[k].Data) + len(f.down[k].Data))
+		total += f.blockFloats(k)
 	}
 	return total * 8
+}
+
+// blockFloats is the number of float64s supernode k stores.
+func (f *Factor) blockFloats(k int) int64 {
+	return int64(len(f.diag[k].Data) + len(f.up[k].Data))
 }
 
 // Validate performs cheap sanity checks on a factor before it is put in
@@ -143,42 +147,15 @@ func NewFactorCtx(ctx context.Context, p *Plan, threads int) (*Factor, error) {
 	K := p.Opts.Semiring
 	sn := p.Sn
 	ns := sn.NumSupernodes()
-	f := &Factor{
-		n:      p.G.N,
-		perm:   p.Perm,
-		iperm:  p.IPerm,
-		sn:     sn,
-		K:      K,
-		diag:   make([]semiring.Mat, ns),
-		up:     make([]semiring.Mat, ns),
-		down:   make([]semiring.Mat, ns),
-		ancIDs: make([][]int, ns),
-		ancOff: make([][]int, ns),
+	f := newFactor(p.G.N, p.Perm, p.IPerm, sn, K)
+	// Initialize from the permuted graph.
+	all := make([]bool, ns)
+	for k := range all {
+		all[k] = true
 	}
-	// Allocate and initialize from the permuted graph.
-	for k := 0; k < ns; k++ {
-		r := sn.Ranges[k]
-		s := r.Size()
-		anc := sn.Ancestors(k)
-		off := make([]int, len(anc)+1)
-		for i, a := range anc {
-			off[i+1] = off[i] + sn.Ranges[a].Size()
-		}
-		f.ancIDs[k] = anc
-		f.ancOff[k] = off
-		total := off[len(anc)]
-		f.diag[k] = semiring.NewMat(s, s)
-		f.diag[k].Fill(K.Zero)
-		for i := 0; i < s; i++ {
-			f.diag[k].Set(i, i, K.One)
-		}
-		f.up[k] = semiring.NewMat(s, total)
-		f.up[k].Fill(K.Zero)
-		f.down[k] = semiring.NewMat(total, s)
-		f.down[k].Fill(K.Zero)
-	}
+	f.resetBlocks(all)
 	// Scatter edges: an edge {u, v} with snode(u) == snode(v) goes into
-	// the diagonal; otherwise it goes into the lower supernode's panels
+	// the diagonal; otherwise it goes into the lower supernode's panel
 	// (the higher endpoint is necessarily an ancestor: edges never cross
 	// cousin regions under a tree-consistent ordering).
 	pg := p.PG
@@ -202,7 +179,6 @@ func NewFactorCtx(ctx context.Context, p *Plan, threads int) (*Factor, error) {
 				return nil, fmt.Errorf("core: edge (%d,%d) crosses cousin supernodes — ordering is not tree-consistent", u, v)
 			}
 			f.up[ku].Set(u-lo, col, wgt[i])
-			f.down[ku].Set(col, u-lo, wgt[i])
 		}
 	}
 
@@ -224,6 +200,39 @@ func NewFactorCtx(ctx context.Context, p *Plan, threads int) (*Factor, error) {
 	return f, nil
 }
 
+// newFactor allocates the blocks of a factor over the supernode
+// structure sn — diag[k] is s×s and up[k] is s × (k's ancestor width) —
+// and derives the ancestor maps. Block contents are left for the caller
+// to initialize or restore.
+func newFactor(n int, perm, iperm []int, sn *symbolic.Supernodes, K *semiring.Kernels) *Factor {
+	ns := sn.NumSupernodes()
+	f := &Factor{
+		n:      n,
+		perm:   perm,
+		iperm:  iperm,
+		sn:     sn,
+		K:      K,
+		diag:   make([]semiring.Mat, ns),
+		up:     make([]semiring.Mat, ns),
+		ancIDs: make([][]int, ns),
+		ancOff: make([][]int, ns),
+	}
+	for k := 0; k < ns; k++ {
+		anc := sn.Ancestors(k)
+		off := make([]int, len(anc)+1)
+		for i, a := range anc {
+			off[i+1] = off[i] + sn.Ranges[a].Size()
+		}
+		f.ancIDs[k] = anc
+		f.ancOff[k] = off
+		s, total := sn.Ranges[k].Size(), off[len(anc)]
+		f.maxAnc = max(f.maxAnc, total)
+		f.diag[k] = semiring.NewMat(s, s)
+		f.up[k] = semiring.NewMat(s, total)
+	}
+	return f
+}
+
 // ancColumn maps permuted vertex v (inside ancestor supernode a of k) to
 // its column inside up[k].
 func (f *Factor) ancColumn(k, a, v int) (int, bool) {
@@ -236,11 +245,11 @@ func (f *Factor) ancColumn(k, a, v int) (int, bool) {
 }
 
 // eliminate processes supernode k: close the diagonal, update the
-// panels, and scatter the ancestor×ancestor outer products into the
-// ancestors' own factor blocks. The closed diagonal is packed once and
-// the down-panel update streams over the packed tiles; the up-panel
-// update stays on MulAdd because there the packed operand would alias
-// the destination (B == C), and the in-place form is the algorithm.
+// panel, and scatter the upper triangle of the ancestor×ancestor outer
+// product into the ancestors' own factor blocks. F(A(k), k) is up[k]ᵀ,
+// so one panel update does the work of both triangles. The panel update
+// stays on MulAdd in place: a packed copy of the panel would alias the
+// destination (B == C), and the in-place form is the algorithm.
 // Concurrently running supernodes are cousins, so the ancestor-block
 // locks serialize every collision.
 func (f *Factor) eliminate(k, threads int, locks *par.StripedMutex) {
@@ -252,12 +261,8 @@ func (f *Factor) eliminate(k, threads int, locks *par.StripedMutex) {
 	if f.ancOff[k][len(f.ancIDs[k])] == 0 {
 		return
 	}
-	// Panels (in place; diagonal closed).
 	tPanel := time.Now()
 	K.MulAdd(f.up[k], f.diag[k], f.up[k]) //lint:ignore aliascheck in-place panel update is closed under min-plus: diag is closed with zero diagonal, so C=A is the algorithm
-	Pd := K.PackPanel(f.diag[k])
-	K.MulAddPacked(f.down[k], f.down[k], Pd) //lint:ignore aliascheck symmetric in-place panel update; the packed operand is the closed diagonal, which the update never writes
-	Pd.Release()
 	semiring.AddPhaseTime(semiring.PhasePanel, time.Since(tPanel))
 
 	tOuter := time.Now()
@@ -265,73 +270,70 @@ func (f *Factor) eliminate(k, threads int, locks *par.StripedMutex) {
 	semiring.AddPhaseTime(semiring.PhaseOuter, time.Since(tOuter))
 }
 
-// scatterOuter applies supernode k's ancestor×ancestor outer products
-// onto the ancestors' own factor blocks. Target for (ai, aj):
+// scatterOuter applies supernode k's ancestor×ancestor outer product
+// F(A, k) ⊗ F(k, A) onto the ancestors' own factor blocks. The product
+// is symmetric, so only pairs i ≤ j are formed — the (j, i) block is the
+// transpose of the (i, j) block and is not stored. Target for (ai, aj):
 //
 //	ai == aj → diag[ai]
-//	ai < aj  → the aj-section of up[ai]  (aj is an ancestor of ai)
-//	ai > aj  → the ai-section of down[aj]
+//	ai <  aj → the aj-section of up[ai]  (aj is an ancestor of ai)
 //
-// Ancestor chains are suffixes of each other, so the section offset
-// inside the target panel follows from list positions directly. A
-// non-nil ownerFilter restricts the scatter to targets owned by marked
-// supernodes — the live-update replay path re-plays a clean supernode's
-// contributions into reset (dirty) blocks only, since its contributions
-// to clean blocks are already incorporated there.
+// The A operand F(ai, k) is the ai-section of up[k]ᵀ, so up[k] is
+// transposed once into pooled scratch. The B operand, the aj-section of
+// up[k], serves all pairs in column j, so with more than one ancestor
+// it is packed once and reused. The targets are the ancestors' own
+// blocks — never up[k] — so both snapshots stay valid for the whole
+// scatter. Ancestor chains are suffixes of each other, so the section
+// offset inside the target panel follows from list positions directly.
+// A non-nil ownerFilter restricts the scatter to targets owned by
+// marked supernodes (ai owns both target kinds) — the live-update replay
+// path re-plays a clean supernode's contributions into reset (dirty)
+// blocks only, since its contributions to clean blocks are already
+// incorporated there.
 func (f *Factor) scatterOuter(k, threads int, locks *par.StripedMutex, ownerFilter []bool) {
 	K := f.K
 	sn := f.sn
 	s := sn.Ranges[k].Size()
 	anc := f.ancIDs[k]
+	off := f.ancOff[k]
 	na := len(anc)
-	// The up-section of ancestor column j is the B operand of every
-	// (i, j) pair, so with more than one ancestor pack it once and reuse
-	// it na times. The targets are the ancestors' own blocks — never
-	// up[k] or down[k] — so the packed snapshot stays valid for the whole
-	// scatter. Columns no (i, j) pair will touch under ownerFilter are
-	// skipped.
+	owned := func(i int) bool { return ownerFilter == nil || ownerFilter[anc[i]] }
+	section := func(i int) semiring.Mat { return f.up[k].View(0, off[i], s, off[i+1]-off[i]) }
+
+	buf := panelScratch.get(off[na] * s)
+	upT := semiring.Mat{Data: buf, Stride: s, Rows: off[na], Cols: s}
+	pairs := make([][2]int, 0, na*(na+1)/2)
+	for i := 0; i < na; i++ {
+		if !owned(i) {
+			continue
+		}
+		upT.View(off[i], 0, off[i+1]-off[i], s).TransposeFrom(section(i))
+		for j := i; j < na; j++ {
+			pairs = append(pairs, [2]int{i, j})
+		}
+	}
 	var packs []*semiring.PackedPanel
 	if na > 1 {
 		packs = make([]*semiring.PackedPanel, na)
-		for j := 0; j < na; j++ {
-			needed := ownerFilter == nil || ownerFilter[anc[j]]
-			for i := 0; !needed && i < j; i++ {
-				needed = ownerFilter[anc[i]] // (i<j, j) targets live on anc[i]
-			}
-			if needed {
-				packs[j] = K.PackPanel(f.up[k].View(0, f.ancOff[k][j], s, f.ancOff[k][j+1]-f.ancOff[k][j]))
+		for _, p := range pairs {
+			if j := p[1]; packs[j] == nil {
+				packs[j] = K.PackPanel(section(j))
 			}
 		}
 	}
-	par.For(na*na, threads, 1, func(idx int) {
-		i, j := idx/na, idx%na
+	par.For(len(pairs), threads, 1, func(idx int) {
+		i, j := pairs[idx][0], pairs[idx][1]
 		ai, aj := anc[i], anc[j]
-		if ownerFilter != nil {
-			owner := ai // diag and up sections live on ai
-			if i > j {
-				owner = aj // down sections live on aj
-			}
-			if !ownerFilter[owner] {
-				return
-			}
-		}
-		src := f.down[k].View(f.ancOff[k][i], 0, f.ancOff[k][i+1]-f.ancOff[k][i], s)
-		srcR := f.up[k].View(0, f.ancOff[k][j], s, f.ancOff[k][j+1]-f.ancOff[k][j])
-		var target semiring.Mat
-		switch {
-		case i == j:
-			target = f.diag[ai]
-		case i < j:
+		src := upT.View(off[i], 0, off[i+1]-off[i], s)
+		target := f.diag[ai]
+		if i < j {
 			// aj inside up[ai]: position of aj in ai's ancestor list is
 			// j-i-1 (ai's ancestors are k's ancestors past position i).
 			o := f.ancOff[ai]
 			target = f.up[ai].View(0, o[j-i-1], sn.Ranges[ai].Size(), o[j-i]-o[j-i-1])
-		default:
-			o := f.ancOff[aj]
-			target = f.down[aj].View(o[i-j-1], 0, o[i-j]-o[i-j-1], sn.Ranges[aj].Size())
 		}
-		mul := func() { K.MulAdd(target, src, srcR) }
-		if packs != nil && packs[j] != nil {
+		mul := func() { K.MulAdd(target, src, section(j)) }
+		if packs != nil {
 			P := packs[j]
 			mul = func() { K.MulAddPacked(target, src, P) }
 		}
@@ -349,7 +351,29 @@ func (f *Factor) scatterOuter(k, threads int, locks *par.StripedMutex, ownerFilt
 			P.Release()
 		}
 	}
+	panelScratch.put(buf)
 }
+
+// scratch pools float64 work vectors of varying length. get returns a
+// slice of length n with unspecified contents.
+type scratch struct{ pool sync.Pool }
+
+func (s *scratch) get(n int) []float64 {
+	if v := s.pool.Get(); v != nil {
+		if buf := *(v.(*[]float64)); cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]float64, n)
+}
+
+func (s *scratch) put(buf []float64) { s.pool.Put(&buf) }
+
+// panelScratch holds the transposed panels of scatterOuter, sweepScratch
+// the n-length vectors of the SSSP sweeps, gatherScratch the
+// ancestor-chain vectors of downSweep. Separate pools keep the very
+// different sizes from evicting each other.
+var panelScratch, sweepScratch, gatherScratch scratch
 
 // SSSP computes distances from src (original vertex id) to every vertex,
 // returned indexed by original ids, using the up/down etree sweeps in
@@ -379,23 +403,17 @@ func (f *Factor) SSSPInto(src int, out []float64) []float64 {
 	return out
 }
 
-// getSweep returns an n-length scratch vector filled with K.Zero.
+// getSweep returns an n-length pooled scratch vector filled with
+// K.Zero, so steady-state query serving does not allocate per query.
 func (f *Factor) getSweep() []float64 {
-	if v := f.sweep.Get(); v != nil {
-		d := *(v.(*[]float64))
-		for i := range d {
-			d[i] = f.K.Zero
-		}
-		return d
-	}
-	d := make([]float64, f.n)
+	d := sweepScratch.get(f.n)
 	for i := range d {
 		d[i] = f.K.Zero
 	}
 	return d
 }
 
-func (f *Factor) putSweep(d []float64) { f.sweep.Put(&d) }
+func (f *Factor) putSweep(d []float64) { sweepScratch.put(d) }
 
 // upSweep relaxes d along the root path of supernode k0.
 func (f *Factor) upSweep(d []float64, k0 int) {
@@ -411,29 +429,33 @@ func (f *Factor) upSweep(d []float64, k0 int) {
 	}
 }
 
-// downSweep relaxes d from ancestors into every supernode, descending.
+// downSweep relaxes d from ancestors into every supernode, descending:
+// d[k] ⊕= F(k, A(k)) ⊗ d[A(k)], the transpose of the up sweep's step.
+// The ancestor ranges are scattered over d, so their entries are first
+// gathered into one contiguous vector laid out like up[k]'s columns;
+// then the whole panel is a single matVec.
 func (f *Factor) downSweep(d []float64) {
 	sn := f.sn
 	K := f.K
+	buf := gatherScratch.get(f.maxAnc)
 	for k := sn.NumSupernodes() - 1; k >= 0; k-- {
 		r := sn.Ranges[k]
 		dk := d[r.Lo:r.Hi]
-		touched := false
+		off := f.ancOff[k]
+		da := buf[:off[len(off)-1]]
 		for i, a := range f.ancIDs[k] {
 			ar := sn.Ranges[a]
-			da := d[ar.Lo:ar.Hi]
-			if allZero(da, K.Zero) {
-				continue
-			}
-			// d[k] ⊕= d[anc] ⊗ F(anc, k): a vector-matrix product with
-			// the (ancestor × k) down panel.
-			f.vecMat(dk, da, f.down[k].View(f.ancOff[k][i], 0, ar.Size(), r.Size()))
-			touched = true
+			copy(da[off[i]:off[i+1]], d[ar.Lo:ar.Hi])
+		}
+		touched := !allZero(da, K.Zero)
+		if touched {
+			f.matVec(dk, f.up[k], da)
 		}
 		if touched || !allZero(dk, K.Zero) {
 			f.vecMat(dk, dk, f.diag[k])
 		}
 	}
+	gatherScratch.put(buf)
 }
 
 func allZero(v []float64, zero float64) bool {
@@ -483,83 +505,63 @@ func (f *Factor) MultiSSSP(sources []int, threads int) [][]float64 {
 }
 
 // Label is a 2-hop label: distances between a vertex and every vertex of
-// its supernode root path (both directions).
+// its supernode root path. The graph is undirected, so one vector serves
+// both directions.
 type Label struct {
 	// Ranges are the permuted index ranges the label covers, ascending:
 	// the vertex's own supernode followed by its ancestors.
 	Ranges []symbolic.Range
-	// To[h] / From[h] are the distances vertex→hub and hub→vertex for
-	// hub h, indexed positionally along the concatenated Ranges.
-	To, From []float64
-}
-
-// width returns the total number of hubs.
-func (l *Label) width() int {
-	w := 0
-	for _, r := range l.Ranges {
-		w += r.Size()
-	}
-	return w
+	// To[h] is the distance between the vertex and hub h, indexed
+	// positionally along the concatenated Ranges.
+	To []float64
 }
 
 // ComputeLabel builds the 2-hop label of original vertex u: distances to
-// and from every hub on u's supernode root path. Costs O(chain fill).
+// every hub on u's supernode root path. Costs O(chain fill).
 func (f *Factor) ComputeLabel(u int) *Label {
 	K := f.K
 	sn := f.sn
 	pu := f.iperm[u]
 	k0 := f.snodeOf(pu)
 	lbl := &Label{}
+	w := 0
 	for k := k0; k >= 0; k = sn.Parent[k] {
-		lbl.Ranges = append(lbl.Ranges, symbolic.Range{Lo: sn.Ranges[k].Lo, Hi: sn.Ranges[k].Hi})
+		lbl.Ranges = append(lbl.Ranges, sn.Ranges[k])
+		w += sn.Ranges[k].Size()
 	}
-	w := lbl.width()
 	lbl.To = make([]float64, w)
-	lbl.From = make([]float64, w)
 	for i := range lbl.To {
 		lbl.To[i] = K.Zero
-		lbl.From[i] = K.Zero
 	}
-	// The label is an up-sweep restricted to the chain, in both
-	// directions. Positions: chain ranges are concatenated ascending.
-	off := 0
-	offs := make([]int, len(lbl.Ranges)+1)
-	for i, r := range lbl.Ranges {
-		offs[i] = off
-		off += r.Size()
-	}
-	offs[len(lbl.Ranges)] = off
-	// own position
+	// The label is an up-sweep restricted to the chain. k's ancestors are
+	// exactly the rest of the chain, in the same ascending order as
+	// up[k]'s column sections, so the label's tail past k is laid out
+	// like up[k]'s columns and each step is one vecMat over the panel.
 	lbl.To[pu-lbl.Ranges[0].Lo] = K.One
-	lbl.From[pu-lbl.Ranges[0].Lo] = K.One
-	ci := 0
+	pos := 0
 	for k := k0; k >= 0; k = sn.Parent[k] {
-		r := sn.Ranges[k]
-		to := lbl.To[offs[ci] : offs[ci]+r.Size()]
-		from := lbl.From[offs[ci] : offs[ci]+r.Size()]
+		s := sn.Ranges[k].Size()
+		to := lbl.To[pos : pos+s]
 		f.vecMat(to, to, f.diag[k])
-		f.matVec(from, f.diag[k], from)
-		for i := range f.ancIDs[k] {
-			ar := f.sn.Ranges[f.ancIDs[k][i]]
-			seg := offs[ci+1+i]
-			f.vecMat(lbl.To[seg:seg+ar.Size()], to, f.up[k].View(0, f.ancOff[k][i], r.Size(), ar.Size()))
-			f.matVec(lbl.From[seg:seg+ar.Size()], f.down[k].View(f.ancOff[k][i], 0, ar.Size(), r.Size()), from)
+		pos += s
+		if pos < w {
+			f.vecMat(lbl.To[pos:], to, f.up[k])
 		}
-		ci++
 	}
 	return lbl
 }
 
 // Dist answers a point-to-point query by meeting the labels of u and v
 // on their shared hubs: dist(u,v) = ⊕ over common hubs h of
-// To_u[h] ⊗ From_v[h]. Costs two label computations plus the meet; use a
+// To_u[h] ⊗ To_v[h]. Costs two label computations plus the meet; use a
 // LabelCache to amortize the label computations across queries.
 func (f *Factor) Dist(u, v int) float64 {
 	return f.MeetLabels(f.ComputeLabel(u), f.ComputeLabel(v))
 }
 
-// MeetLabels evaluates the 2-hop meet of a source label lu and a target
-// label lv: ⊕ over common hubs h of To_u[h] ⊗ From_v[h]. Labels are
+// MeetLabels evaluates the 2-hop meet of the labels lu and lv: ⊕ over
+// common hubs h of To_u[h] ⊗ To_v[h]. ⊗ is commutative and ⊕ an exact
+// min/max, so the meet is bitwise symmetric in its arguments. Labels are
 // immutable once computed, so the meet is safe to run concurrently over
 // shared labels, and it performs no allocations.
 func (f *Factor) MeetLabels(lu, lv *Label) float64 {
@@ -580,7 +582,7 @@ func (f *Factor) MeetLabels(lu, lv *Label) float64 {
 			iv++
 		default: // same supernode range
 			for i := 0; i < ru.Size(); i++ {
-				cand := K.MulScalar(lu.To[ou+i], lv.From[ov+i])
+				cand := K.MulScalar(lu.To[ou+i], lv.To[ov+i])
 				best = K.AddScalar(best, cand)
 			}
 			ou += ru.Size()

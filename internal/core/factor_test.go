@@ -172,3 +172,30 @@ func TestFactorMultiSSSP(t *testing.T) {
 		}
 	}
 }
+
+// TestFactorDiagonalsBitwiseSymmetric pins the invariant the one-triangle
+// factor rests on: every closed diagonal block is exactly symmetric, for
+// both semirings and under parallel elimination (THEORY.md §5).
+func TestFactorDiagonalsBitwiseSymmetric(t *testing.T) {
+	for name, g := range factorGraphs() {
+		for _, K := range []*semiring.Kernels{semiring.MinPlusKernels, semiring.MaxMinKernels} {
+			plan, err := NewPlan(g, Options{Semiring: K, MaxBlock: 16, LeafSize: 12})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			f, err := NewFactor(plan, 4)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for k, D := range f.diag {
+				for i := 0; i < D.Rows; i++ {
+					for j := 0; j < i; j++ {
+						if math.Float64bits(D.At(i, j)) != math.Float64bits(D.At(j, i)) {
+							t.Fatalf("%s %s: diag[%d] (%d,%d) = %v, (%d,%d) = %v", name, K.Name, k, i, j, D.At(i, j), j, i, D.At(j, i))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -6,7 +6,7 @@ package core
 // ordering pipeline, or the partitioner — the checkpoint that makes the
 // expensive factorization a durable, recoverable artifact.
 //
-// Format v3 (little-endian):
+// Format v4 (little-endian):
 //
 //	magic "SFWF", u32 version
 //	-- checksummed body starts here --
@@ -16,18 +16,22 @@ package core
 //	u64 n, u64 #supernodes
 //	perm:  n × u64
 //	per supernode: u64 lo, hi, subLo, parent+1
-//	per supernode: diag (s×s f64), up (s×anc f64), down (anc×s f64)
+//	per supernode: diag (s×s f64), up (s×anc f64)
 //	-- checksummed body ends here --
 //	u64 CRC64/ECMA of the body
 //
-// v3 extends v2 with checkpoint metadata inside the checksummed body:
-// the live-update generation the factor had when snapshotted, a digest
-// of the base graph it was factored from (so a worker never warm-boots
-// a checkpoint for a different graph), and the edge-weight overlay —
-// the edges whose current weight differs from the base graph — which
-// reseeds a FactorUpdater so replayed journal batches classify
+// v4 stores the one triangle the factor keeps. v3 is the same layout
+// with a third per-supernode payload, down (anc×s f64) = upᵀ, which the
+// reader checksums and discards. v3 extended v2 with checkpoint
+// metadata inside the checksummed body: the live-update generation the
+// factor had when snapshotted, a digest of the base graph it was
+// factored from (so a worker never warm-boots a checkpoint for a
+// different graph), and the edge-weight overlay — the edges whose
+// current weight differs from the base graph — which reseeds a
+// FactorUpdater so replayed journal batches classify
 // decreases/increases against the right weights. v2 files (no meta
-// block) still load, at generation 0 with an empty overlay.
+// block, down stored) still load, at generation 0 with an empty
+// overlay.
 //
 // Matrix dimensions are reconstructed from the supernode structure, so
 // only raw payloads are stored. The trailing checksum covers every body
@@ -56,14 +60,15 @@ import (
 const factorMagic = "SFWF"
 const (
 	factorVersionV2 = 2
-	factorVersion   = 3
+	factorVersionV3 = 3
+	factorVersion   = 4
 )
 
-// maxOverlayEdges caps the v3 overlay so a crafted count field cannot
+// maxOverlayEdges caps the overlay so a crafted count field cannot
 // drive a huge allocation before the checksum is verified.
 const maxOverlayEdges = 1 << 26
 
-// CheckpointMeta is the v3 recovery metadata embedded (checksummed)
+// CheckpointMeta is the recovery metadata (v3 and later) embedded (checksummed)
 // in a factor checkpoint.
 type CheckpointMeta struct {
 	// Generation is the live-update generation of the snapshotted
@@ -150,7 +155,7 @@ func (f *Factor) WriteTo(w io.Writer) (int64, error) {
 	return WriteFactorMeta(w, f, CheckpointMeta{})
 }
 
-// WriteFactorMeta serializes the factor in the v3 format with the
+// WriteFactorMeta serializes the factor in the v4 format with the
 // given recovery metadata. The "core.factorio.write" failpoint sits
 // under the buffering so chaos tests can tear checkpoints mid-write.
 func WriteFactorMeta(w io.Writer, f *Factor, meta CheckpointMeta) (int64, error) {
@@ -197,7 +202,7 @@ func WriteFactorMeta(w io.Writer, f *Factor, meta CheckpointMeta) (int64, error)
 		}
 	}
 	for k := 0; k < ns; k++ {
-		for _, m := range []semiring.Mat{f.diag[k], f.up[k], f.down[k]} {
+		for _, m := range []semiring.Mat{f.diag[k], f.up[k]} {
 			if err := writeFloats(hw, m.Data); err != nil {
 				return cw.n, err
 			}
@@ -223,9 +228,10 @@ func ReadFactor(r io.Reader) (*Factor, error) {
 }
 
 // ReadFactorMeta deserializes a factor plus its recovery metadata.
-// Both the current v3 format and legacy v2 files are accepted; a v2
-// file yields a zero CheckpointMeta (generation 0, no overlay), which
-// callers treat as "pre-durability checkpoint".
+// The current v4 format and legacy v3 and v2 files are accepted; the
+// legacy down payloads are checksummed and dropped. A v2 file yields a
+// zero CheckpointMeta (generation 0, no overlay), which callers treat as
+// "pre-durability checkpoint".
 func ReadFactorMeta(r io.Reader) (*Factor, CheckpointMeta, error) {
 	var meta CheckpointMeta
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -240,8 +246,8 @@ func ReadFactorMeta(r io.Reader) (*Factor, CheckpointMeta, error) {
 	if err != nil {
 		return nil, meta, err
 	}
-	if ver != factorVersion && ver != factorVersionV2 {
-		return nil, meta, fmt.Errorf("core: unsupported factor version %d (this build reads v%d and v%d)", ver, factorVersionV2, factorVersion)
+	if ver < factorVersionV2 || ver > factorVersion {
+		return nil, meta, fmt.Errorf("core: unsupported factor version %d (this build reads v%d to v%d)", ver, factorVersionV2, factorVersion)
 	}
 	// Mirror the writer: every body byte flows through the CRC so the
 	// trailer can be verified once parsing succeeds.
@@ -255,7 +261,7 @@ func ReadFactorMeta(r io.Reader) (*Factor, CheckpointMeta, error) {
 	if err != nil {
 		return nil, meta, err
 	}
-	if ver >= factorVersion {
+	if ver >= factorVersionV3 {
 		gen, err1 := readU64(hr)
 		dig, err2 := readU64(hr)
 		cnt, err3 := readU64(hr)
@@ -330,33 +336,20 @@ func ReadFactorMeta(r io.Reader) (*Factor, CheckpointMeta, error) {
 	if msg := sn.Check(); msg != "" {
 		return nil, meta, fmt.Errorf("core: corrupt supernode structure: %s", msg)
 	}
-	f := &Factor{
-		n:      n,
-		perm:   perm,
-		iperm:  graph.InversePerm(perm),
-		sn:     sn,
-		K:      K,
-		diag:   make([]semiring.Mat, ns),
-		up:     make([]semiring.Mat, ns),
-		down:   make([]semiring.Mat, ns),
-		ancIDs: make([][]int, ns),
-		ancOff: make([][]int, ns),
-	}
+	f := newFactor(n, perm, graph.InversePerm(perm), sn, K)
+	var drop []float64
 	for k := 0; k < ns; k++ {
-		anc := sn.Ancestors(k)
-		off := make([]int, len(anc)+1)
-		for i, a := range anc {
-			off[i+1] = off[i] + sn.Ranges[a].Size()
+		payload := [][]float64{f.diag[k].Data, f.up[k].Data}
+		if ver < factorVersion {
+			// The legacy down panel is upᵀ: read it through the CRC and
+			// drop it.
+			if cap(drop) < len(f.up[k].Data) {
+				drop = make([]float64, len(f.up[k].Data))
+			}
+			payload = append(payload, drop[:len(f.up[k].Data)])
 		}
-		f.ancIDs[k] = anc
-		f.ancOff[k] = off
-		s := ranges[k].Size()
-		total := off[len(anc)]
-		f.diag[k] = semiring.Mat{Data: make([]float64, s*s), Stride: s, Rows: s, Cols: s}
-		f.up[k] = semiring.Mat{Data: make([]float64, s*total), Stride: total, Rows: s, Cols: total}
-		f.down[k] = semiring.Mat{Data: make([]float64, total*s), Stride: s, Rows: total, Cols: s}
-		for _, m := range []semiring.Mat{f.diag[k], f.up[k], f.down[k]} {
-			if err := readFloats(hr, m.Data); err != nil {
+		for _, data := range payload {
+			if err := readFloats(hr, data); err != nil {
 				return nil, meta, fmt.Errorf("core: truncated factor payload: %w", err)
 			}
 		}

@@ -2,13 +2,15 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"hash/crc64"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/semiring"
 )
 
@@ -126,12 +128,59 @@ func TestCheckpointMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointV2BackCompat hand-builds a v2 stream (no meta block)
-// and asserts it still loads — at generation 0 with an empty overlay,
-// which boot paths treat as "legacy checkpoint, cold state".
-func TestCheckpointV2BackCompat(t *testing.T) {
-	g := gen.Grid2D(6, 6, gen.WeightUniform, 96)
-	plan, err := NewPlan(g, DefaultOptions())
+// legacyCheckpoint writes f in the pre-v4 layout of format version ver
+// (2 or 3): the meta block only from v3 on, and after each supernode's
+// diag and up payloads a down payload holding upᵀ. downAt is the file
+// offset of the first byte of the first non-empty down payload, or -1.
+func legacyCheckpoint(t *testing.T, f *Factor, ver uint32, meta CheckpointMeta) (file []byte, downAt int) {
+	t.Helper()
+	sid, err := semiringID(f.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 8
+	var body bytes.Buffer
+	body.WriteByte(sid)
+	if ver >= 3 {
+		writeU64s(&body, meta.Generation, meta.GraphDigest, uint64(len(meta.Overlay)))
+		for _, d := range meta.Overlay {
+			writeU64s(&body, uint64(d.U), uint64(d.V), math.Float64bits(d.W))
+		}
+	}
+	ns := f.sn.NumSupernodes()
+	writeU64s(&body, uint64(f.n), uint64(ns))
+	for _, p := range f.perm {
+		writeU64s(&body, uint64(p))
+	}
+	for k := 0; k < ns; k++ {
+		r := f.sn.Ranges[k]
+		writeU64s(&body, uint64(r.Lo), uint64(r.Hi), uint64(f.sn.SubLo[k]), uint64(f.sn.Parent[k]+1))
+	}
+	downAt = -1
+	for k := 0; k < ns; k++ {
+		down := semiring.NewMat(f.up[k].Cols, f.up[k].Rows)
+		down.TransposeFrom(f.up[k])
+		writeFloats(&body, f.diag[k].Data)
+		writeFloats(&body, f.up[k].Data)
+		if downAt < 0 && len(down.Data) > 0 {
+			downAt = header + body.Len()
+		}
+		writeFloats(&body, down.Data)
+	}
+	var out bytes.Buffer
+	out.WriteString(factorMagic)
+	writeU32(&out, ver)
+	out.Write(body.Bytes())
+	writeU64s(&out, crc64.Checksum(body.Bytes(), factorCRCTable))
+	return out.Bytes(), downAt
+}
+
+// multiSupernodeFactor factors a graph whose plan has several supernodes,
+// so every checkpoint carries non-empty panels.
+func multiSupernodeFactor(t *testing.T) (*Factor, *graph.Graph) {
+	t.Helper()
+	g := gen.RoadNetwork(12, 12, 0.3, 96)
+	plan, err := NewPlan(g, Options{MaxBlock: 16, LeafSize: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,25 +188,39 @@ func TestCheckpointV2BackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v3 bytes.Buffer
-	if _, err := f.WriteTo(&v3); err != nil {
-		t.Fatal(err)
+	if f.sn.NumSupernodes() < 3 {
+		t.Fatalf("want several supernodes, got %d", f.sn.NumSupernodes())
 	}
-	// A v3 file with a zero meta block differs from its v2 ancestor by
-	// exactly: the version word, 24 meta bytes after the semiring id,
-	// and the trailer CRC. Strip them and re-checksum to produce a
-	// byte-faithful v2 file.
-	data := v3.Bytes()
-	body := append([]byte{}, data[8:len(data)-8]...) // checksummed body
-	v2body := append([]byte{body[0]}, body[1+24:]...)
-	v2 := make([]byte, 0, len(v2body)+16)
-	v2 = append(v2, "SFWF\x02\x00\x00\x00"...)
-	v2 = append(v2, v2body...)
-	crc := crc64.Checksum(v2body, factorCRCTable)
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], crc)
-	v2 = append(v2, trailer[:]...)
+	return f, g
+}
 
+// sameAnswers requires g's factor f2 to answer every sampled query
+// bit-for-bit like f.
+func sameAnswers(t *testing.T, f, f2 *Factor) {
+	t.Helper()
+	if f2.Memory() != f.Memory() {
+		t.Fatalf("memory %d, want %d", f2.Memory(), f.Memory())
+	}
+	for u := 0; u < f.n; u += 11 {
+		a, b := f.SSSP(u), f2.SSSP(u)
+		for v := range a {
+			if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+				t.Fatalf("SSSP(%d)[%d] = %v, want %v", u, v, b[v], a[v])
+			}
+			if x, y := f.Dist(u, v), f2.Dist(u, v); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("Dist(%d,%d) = %v, want %v", u, v, y, x)
+			}
+		}
+	}
+}
+
+// TestCheckpointV2BackCompat writes a v2 stream (no meta block, down
+// payloads stored) and asserts it still loads — at generation 0 with an
+// empty overlay, which boot paths treat as "legacy checkpoint, cold
+// state" — and answers like the factor it came from.
+func TestCheckpointV2BackCompat(t *testing.T) {
+	f, g := multiSupernodeFactor(t)
+	v2, _ := legacyCheckpoint(t, f, 2, CheckpointMeta{})
 	f2, meta, err := ReadFactorMeta(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatalf("v2 file rejected: %v", err)
@@ -168,8 +231,55 @@ func TestCheckpointV2BackCompat(t *testing.T) {
 	if meta.Validate(GraphDigest(g)) == nil {
 		t.Fatal("zero meta validated as durable — legacy files must be detectable")
 	}
-	if f2.Dist(0, 7) != f.Dist(0, 7) {
-		t.Fatal("v2-loaded factor differs")
+	sameAnswers(t, f, f2)
+}
+
+// TestCheckpointV3BackCompat loads a v3 checkpoint, which still stores
+// the down panel, through the file path (checksum, then Validate), and
+// requires its meta block and its answers to match the factor it was
+// written from. A v3 file with one flipped byte in a down payload — the
+// part v4 drops on load — must still fail the checksum.
+func TestCheckpointV3BackCompat(t *testing.T) {
+	f, g := multiSupernodeFactor(t)
+	meta := CheckpointMeta{Generation: 5, GraphDigest: GraphDigest(g),
+		Overlay: []EdgeDelta{{U: 1, V: 2, W: 0.5}}}
+	v3, downAt := legacyCheckpoint(t, f, 3, meta)
+	if downAt < 0 {
+		t.Fatal("v3 file has no down payload to corrupt")
+	}
+	path := filepath.Join(t.TempDir(), "v3.sfwf")
+	if err := os.WriteFile(path, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f2, got, err := LoadFactorFileMeta(path)
+	if err != nil {
+		t.Fatalf("v3 file rejected: %v", err)
+	}
+	if err := got.Validate(GraphDigest(g)); err != nil {
+		t.Fatalf("v3 meta: %v", err)
+	}
+	if got.Generation != 5 || len(got.Overlay) != 1 || got.Overlay[0] != meta.Overlay[0] {
+		t.Fatalf("v3 meta %+v, want %+v", got, meta)
+	}
+	sameAnswers(t, f, f2)
+
+	// Re-saving writes v4: smaller by exactly the down payloads.
+	var v4 bytes.Buffer
+	if _, err := WriteFactorMeta(&v4, f2, got); err != nil {
+		t.Fatal(err)
+	}
+	var downBytes int
+	for k := range f.up {
+		downBytes += 8 * len(f.up[k].Data)
+	}
+	if v4.Len() != len(v3)-downBytes {
+		t.Fatalf("v4 re-save is %d bytes, want %d (v3 %d less %d down bytes)", v4.Len(), len(v3)-downBytes, len(v3), downBytes)
+	}
+
+	mut := append([]byte{}, v3...)
+	mut[downAt+3] ^= 0x10
+	if _, _, err := ReadFactorMeta(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("v3 file with a flipped down byte: err = %v, want checksum mismatch", err)
 	}
 }
 

@@ -386,7 +386,7 @@ func (u *FactorUpdater) Apply(ctx context.Context, b *UpdateBatch) (*Patched, er
 	dirty := sn.AncestorClosure(seeds)
 	var dirtyBytes, totalBytes int64
 	for k, d := range dirty {
-		sz := int64(len(f.diag[k].Data) + len(f.up[k].Data) + len(f.down[k].Data))
+		sz := f.blockFloats(k)
 		totalBytes += sz
 		if d {
 			p.Stats.DirtySupernodes++
@@ -525,16 +525,15 @@ func (f *Factor) cowClone(dirty []bool) *Factor {
 		K:          f.K,
 		diag:       append([]semiring.Mat(nil), f.diag...),
 		up:         append([]semiring.Mat(nil), f.up...),
-		down:       append([]semiring.Mat(nil), f.down...),
 		ancIDs:     f.ancIDs,
 		ancOff:     f.ancOff,
+		maxAnc:     f.maxAnc,
 		FactorTime: f.FactorTime,
 	}
 	for k, d := range dirty {
 		if d {
 			nf.diag[k] = f.diag[k].Clone()
 			nf.up[k] = f.up[k].Clone()
-			nf.down[k] = f.down[k].Clone()
 		}
 	}
 	return nf
@@ -553,7 +552,6 @@ func (f *Factor) resetBlocks(dirty []bool) {
 			f.diag[k].Set(i, i, K.One)
 		}
 		f.up[k].Fill(K.Zero)
-		f.down[k].Fill(K.Zero)
 	}
 }
 
@@ -581,7 +579,6 @@ func (f *Factor) scatterEdges(edges map[edgeKey]float64, dirty []bool) error {
 			return fmt.Errorf("core: edge (%d,%d) crosses cousin supernodes — ordering is not tree-consistent", key.u, key.v)
 		}
 		f.up[ku].Set(pu-lo, col, w)
-		f.down[ku].Set(col, pu-lo, w)
 	}
 	return nil
 }
@@ -606,7 +603,6 @@ func (f *Factor) injectMin(d EdgeDelta) error {
 		return fmt.Errorf("core: edge (%d,%d) crosses cousin supernodes — ordering is not tree-consistent", d.U, d.V)
 	}
 	f.up[ku].Set(pu-lo, col, K.AddScalar(f.up[ku].At(pu-lo, col), d.W))
-	f.down[ku].Set(col, pu-lo, K.AddScalar(f.down[ku].At(col, pu-lo), d.W))
 	return nil
 }
 

@@ -248,7 +248,10 @@ func MinPlusVecMatAdd(y, x []float64, A Mat) {
 }
 
 // MinPlusMatVecAdd computes y = y ⊕ (A ⊗ x) for a column vector x (len =
-// A.Cols) and y (len = A.Rows). Used by the factor's reverse sweeps.
+// A.Cols) and y (len = A.Rows). Used by the factor's down sweep, where A
+// is a whole up panel. Each row is a min-reduction, run on four
+// independent accumulators so the compare chain does not serialize the
+// loop; min is exact, so the split does not change the result.
 func MinPlusMatVecAdd(y []float64, A Mat, x []float64) {
 	if len(x) != A.Cols || len(y) != A.Rows {
 		panic("semiring: MinPlusMatVecAdd shape mismatch")
@@ -268,16 +271,39 @@ func MinPlusMatVecAdd(y []float64, A Mat, x []float64) {
 	}
 	for i := 0; i < A.Rows; i++ {
 		arow := A.Row(i)
-		best := y[i]
-		for k, a := range arow {
-			if a == Inf {
-				continue // Inf ⊗ x[k] = Inf never improves y[i]
+		xx := x[:len(arow)]
+		b0, b1, b2, b3 := y[i], Inf, Inf, Inf
+		k := 0
+		for ; k+4 <= len(arow); k += 4 {
+			a4, x4 := arow[k:k+4:k+4], xx[k:k+4:k+4]
+			if v := a4[0] + x4[0]; v < b0 {
+				b0 = v
 			}
-			if v := a + x[k]; v < best {
-				best = v
+			if v := a4[1] + x4[1]; v < b1 {
+				b1 = v
+			}
+			if v := a4[2] + x4[2]; v < b2 {
+				b2 = v
+			}
+			if v := a4[3] + x4[3]; v < b3 {
+				b3 = v
 			}
 		}
-		y[i] = best
+		for ; k < len(arow); k++ {
+			if v := arow[k] + xx[k]; v < b0 {
+				b0 = v
+			}
+		}
+		if b1 < b0 {
+			b0 = b1
+		}
+		if b3 < b2 {
+			b2 = b3
+		}
+		if b2 < b0 {
+			b0 = b2
+		}
+		y[i] = b0
 	}
 }
 

@@ -102,6 +102,29 @@ func (m Mat) Copy(src Mat) {
 	}
 }
 
+// TransposeFrom sets m to srcᵀ; m must be src.Cols × src.Rows and must
+// not alias src. The copy runs in square tiles so both sides stay in
+// cache whatever the strides.
+func (m Mat) TransposeFrom(src Mat) {
+	if m.Rows != src.Cols || m.Cols != src.Rows {
+		panic(fmt.Sprintf("semiring: transpose shape mismatch %d×%d vs %d×%d",
+			m.Rows, m.Cols, src.Rows, src.Cols))
+	}
+	const tile = 32
+	for i0 := 0; i0 < src.Rows; i0 += tile {
+		i1 := min(i0+tile, src.Rows)
+		for j0 := 0; j0 < src.Cols; j0 += tile {
+			j1 := min(j0+tile, src.Cols)
+			for i := i0; i < i1; i++ {
+				row := src.Data[i*src.Stride : i*src.Stride+j1]
+				for j := j0; j < j1; j++ {
+					m.Data[j*m.Stride+i] = row[j]
+				}
+			}
+		}
+	}
+}
+
 // Clone returns a freshly allocated copy of m with a compact stride.
 func (m Mat) Clone() Mat {
 	out := NewMat(m.Rows, m.Cols)

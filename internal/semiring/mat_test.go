@@ -145,6 +145,23 @@ func TestCloneCopyEqual(t *testing.T) {
 	}
 }
 
+func TestTransposeFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	// Views with strides wider than their rows, and shapes that are not
+	// multiples of the tile, on both sides.
+	big := randomMat(rng, 70, 90, 0.3)
+	src := big.View(3, 5, 67, 41)
+	dst := NewInfMat(50, 80).View(2, 1, 41, 67)
+	dst.TransposeFrom(src)
+	for i := 0; i < src.Rows; i++ {
+		for j := 0; j < src.Cols; j++ {
+			if dst.At(j, i) != src.At(i, j) {
+				t.Fatalf("transpose (%d,%d) = %v, want %v", j, i, dst.At(j, i), src.At(i, j))
+			}
+		}
+	}
+}
+
 func TestEqualTol(t *testing.T) {
 	a := NewMat(2, 2)
 	b := NewMat(2, 2)

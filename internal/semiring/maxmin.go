@@ -233,8 +233,8 @@ func MaxMinVecMatAdd(y, x []float64, A Mat) {
 
 // MaxMinMatVecAdd computes y = y ⊕ (A ⊗ x) over the bottleneck
 // semiring for a column vector x (len = A.Cols) and y (len = A.Rows),
-// mirroring MinPlusMatVecAdd's zero fast paths: an all--Inf x returns
-// immediately, and -Inf entries of A skip their candidate.
+// mirroring MinPlusMatVecAdd: an all--Inf x returns immediately, and
+// each row's max-reduction runs on four independent accumulators.
 func MaxMinMatVecAdd(y []float64, A Mat, x []float64) {
 	if len(x) != A.Cols || len(y) != A.Rows {
 		panic("semiring: MaxMinMatVecAdd shape mismatch")
@@ -252,21 +252,50 @@ func MaxMinMatVecAdd(y []float64, A Mat, x []float64) {
 	}
 	for i := 0; i < A.Rows; i++ {
 		arow := A.Row(i)
-		best := y[i]
-		for k, a := range arow {
-			if a == negInf {
-				continue // -Inf ⊗ x[k] = -Inf never improves y[i]
+		xx := x[:len(arow)]
+		b0, b1, b2, b3 := y[i], negInf, negInf, negInf
+		k := 0
+		for ; k+4 <= len(arow); k += 4 {
+			a4, x4 := arow[k:k+4:k+4], xx[k:k+4:k+4]
+			if v := bottleneck(a4[0], x4[0]); v > b0 {
+				b0 = v
 			}
-			v := x[k]
-			if a < v {
-				v = a
+			if v := bottleneck(a4[1], x4[1]); v > b1 {
+				b1 = v
 			}
-			if v > best {
-				best = v
+			if v := bottleneck(a4[2], x4[2]); v > b2 {
+				b2 = v
+			}
+			if v := bottleneck(a4[3], x4[3]); v > b3 {
+				b3 = v
 			}
 		}
-		y[i] = best
+		for ; k < len(arow); k++ {
+			if v := bottleneck(arow[k], xx[k]); v > b0 {
+				b0 = v
+			}
+		}
+		if b1 > b0 {
+			b0 = b1
+		}
+		if b3 > b2 {
+			b2 = b3
+		}
+		if b2 > b0 {
+			b0 = b2
+		}
+		y[i] = b0
 	}
+}
+
+// bottleneck is the max-min ⊗: the smaller of two capacities. Unlike
+// the builtin min it skips NaN and signed-zero handling, which the
+// semiring's values (finite or ±Inf) never need.
+func bottleneck(a, b float64) float64 {
+	if a < b {
+		return a
+	}
+	return b
 }
 
 // MaxMinFloydWarshall computes the max-min closure in place.

@@ -100,25 +100,28 @@ func TestPermuteIntMat(t *testing.T) {
 
 func TestMinPlusMatVecAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	A := randomMat(rng, 6, 9, 0.2)
-	x := make([]float64, 9)
-	for i := range x {
-		x[i] = rng.Float64() * 5
-	}
-	y := make([]float64, 6)
-	for i := range y {
-		y[i] = Inf
-	}
-	MinPlusMatVecAdd(y, A, x)
-	for i := 0; i < 6; i++ {
-		best := Inf
-		for k := 0; k < 9; k++ {
-			if v := A.At(i, k) + x[k]; v < best {
-				best = v
-			}
+	// Widths below, at and past the four-way unrolled body, with a tail.
+	for _, w := range []int{3, 9, 37} {
+		A := randomMat(rng, 6, w, 0.2)
+		x := make([]float64, w)
+		for i := range x {
+			x[i] = rng.Float64() * 5
 		}
-		if y[i] != best {
-			t.Fatalf("MatVec mismatch at %d", i)
+		y := make([]float64, 6)
+		for i := range y {
+			y[i] = Inf
+		}
+		MinPlusMatVecAdd(y, A, x)
+		for i := 0; i < 6; i++ {
+			best := Inf
+			for k := 0; k < w; k++ {
+				if v := A.At(i, k) + x[k]; v < best {
+					best = v
+				}
+			}
+			if y[i] != best {
+				t.Fatalf("width %d: MatVec mismatch at %d", w, i)
+			}
 		}
 	}
 }

@@ -327,9 +327,10 @@ type distBatchRequest struct {
 	Pairs [][2]int `json:"pairs"`
 }
 
-// distBatch answers POST /dist/batch, resolving every pair against the
-// shared label cache — a batch touching k distinct vertices computes at
-// most k labels regardless of pair count. The response streams
+// distBatch answers POST /dist/batch, resolving every pair once against
+// the shared label cache — two label lookups per pair, and a batch
+// touching k distinct vertices computes at most k labels regardless of
+// pair count. The response streams
 // {"count":N,"dists":[...],"reachable":[...]} without per-value boxing.
 func (s *Server) distBatch(w http.ResponseWriter, r *http.Request) {
 	e := s.eng.Load()
@@ -353,28 +354,48 @@ func (s *Server) distBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	dists := getBatch(len(req.Pairs))
+	defer putBatch(dists)
+	for i, p := range req.Pairs {
+		dists[i] = e.cache.Dist(p[0], p[1])
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	sw := s.newStreamWriter(w)
 	sw.literal(`{"count":`)
-	sw.int(len(req.Pairs))
+	sw.int(len(dists))
 	sw.literal(`,"dists":[`)
-	for i, p := range req.Pairs {
+	for i, d := range dists {
 		if i > 0 {
 			sw.literal(",")
 		}
-		sw.float(e.cache.Dist(p[0], p[1]))
+		sw.float(d)
 	}
 	sw.literal(`],"reachable":[`)
-	for i, p := range req.Pairs {
+	for i, d := range dists {
 		if i > 0 {
 			sw.literal(",")
 		}
-		sw.bool(reachable(e.cache.Dist(p[0], p[1])))
+		sw.bool(reachable(d))
 	}
 	sw.literal("]}\n")
 	sw.close("dist/batch")
 }
+
+// batchPool recycles the per-request distance slices of /dist/batch.
+var batchPool sync.Pool // *[]float64
+
+// getBatch returns a pooled slice of length n with unspecified contents.
+func getBatch(n int) []float64 {
+	if v := batchPool.Get(); v != nil {
+		if d := *(v.(*[]float64)); cap(d) >= n {
+			return d[:n]
+		}
+	}
+	return make([]float64, n)
+}
+
+func putBatch(d []float64) { batchPool.Put(&d) }
 
 // sssp answers GET /sssp?src=S with the full distance row, streamed as
 // {"src":S,"n":N,"dist":[...]} from a pooled row buffer — no []any

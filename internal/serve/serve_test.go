@@ -171,6 +171,20 @@ func TestDistBatch(t *testing.T) {
 	}
 }
 
+// TestDistBatchLooksUpEachPairOnce pins the batch's label traffic: p
+// pairs cost exactly 2p cache lookups (one per endpoint), however the
+// response is laid out.
+func TestDistBatchLooksUpEachPairOnce(t *testing.T) {
+	s, srv, n := testServerOpts(t, false, Options{})
+	pairs := [][2]int{{0, 42}, {5, 5}, {1, n - 1}, {0, 42}, {7, 3}}
+	before := s.Cache().Stats()
+	postJSON(t, srv.URL+"/dist/batch", map[string]any{"pairs": pairs}, http.StatusOK)
+	after := s.Cache().Stats()
+	if got, want := (after.Hits+after.Misses)-(before.Hits+before.Misses), uint64(2*len(pairs)); got != want {
+		t.Fatalf("batch of %d pairs made %d label lookups, want %d", len(pairs), got, want)
+	}
+}
+
 func TestDistBatchErrors(t *testing.T) {
 	_, srv, n := testServerOpts(t, false, Options{})
 	postJSON(t, srv.URL+"/dist/batch", map[string]any{"pairs": [][2]int{}}, http.StatusBadRequest)
